@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Grid is a uniform rectangular discretization of a layer footprint into
 // Nx x Ny cells. It is the common coordinate system shared by the floorplan
@@ -87,6 +90,35 @@ func (g Grid) cellRange(r Rect) (ix0, ix1, iy0, iy1 int) {
 		iy1 = g.Ny - 1
 	}
 	return ix0, ix1 + 1, iy0, iy1 + 1
+}
+
+// CenterWindow returns half-open index ranges that hold every cell whose
+// center can pass r.ContainsPoint, widened by one cell on each side so
+// floating-point rounding of the centers can never push a member outside.
+// It only bounds a scan: callers still decide membership with
+// ContainsPoint, so a window scan visits exactly the cells a full scan
+// accepts, in the same row-major order. Bounds are clamped in floating
+// point before the integer conversion, so infinite or NaN edges yield the
+// whole axis or an empty window, never an overflowed index.
+func (g Grid) CenterWindow(r Rect) (ix0, ix1, iy0, iy1 int) {
+	cw, ch := g.CellW(), g.CellH()
+	// Cell i's center is (i+0.5)·cw; invert that for both edges.
+	ix0 = clampIndex(math.Floor((r.X-Eps)/cw-0.5)-1, g.Nx)
+	ix1 = clampIndex(math.Floor((r.MaxX()+Eps)/cw-0.5)+2, g.Nx)
+	iy0 = clampIndex(math.Floor((r.Y-Eps)/ch-0.5)-1, g.Ny)
+	iy1 = clampIndex(math.Floor((r.MaxY()+Eps)/ch-0.5)+2, g.Ny)
+	return ix0, ix1, iy0, iy1
+}
+
+// clampIndex converts an index bound to an int in [0, n]; NaN maps to 0.
+func clampIndex(f float64, n int) int {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= float64(n):
+		return n
+	}
+	return int(f)
 }
 
 // RasterizeAdd distributes the scalar `total` (e.g. watts of a power block)

@@ -180,14 +180,13 @@ func SimulateSeededCtx(ctx context.Context, m *thermal.Model, cores []floorplan.
 		res = next
 		cgIters += res.Iterations
 		maxDelta := 0.0
-		for i, c := range cores {
+		for _, c := range cores {
 			id := c.Row*floorplan.CoresPerEdge + c.Col
 			t := res.AvgOverRect(c.Rect)
 			if d := abs(t - temps[id]); d > maxDelta {
 				maxDelta = d
 			}
 			temps[id] = t
-			_ = i
 		}
 		if opts.DisableLeakageFeedback || maxDelta < opts.ConvergenceC {
 			break
@@ -199,9 +198,10 @@ func SimulateSeededCtx(ctx context.Context, m *thermal.Model, cores []floorplan.
 	loop.SetAttr("iterations", iter)
 	loop.SetAttr("cg_iterations", cgIters)
 	loop.SetAttr("active_cores", active)
-	loop.SetAttr("peak_c", res.PeakC())
+	peak := res.PeakC()
+	loop.SetAttr("peak_c", peak)
 	return &SimResult{
-		PeakC:        res.PeakC(),
+		PeakC:        peak,
 		TotalPowerW:  totalW,
 		CoreTemps:    temps,
 		Iterations:   iter,

@@ -2,7 +2,7 @@ package thermal
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -175,7 +175,7 @@ func zSplits(nLayer, nc int, diag []float64, mat *csrMatrix) []int {
 			}
 			ratios[c] = s
 		}
-		sort.Float64s(ratios)
+		slices.Sort(ratios)
 		if ratios[nc/2] < mgZSplitTol {
 			splits = append(splits, l)
 		}
@@ -417,11 +417,6 @@ func (t *transferOp) buildTranspose() {
 	}
 }
 
-// galerkinCoarse assembles Ac = P'·A·P row by row: for coarse row jc it
-// walks the fine rows restricting into jc (the transpose of P), scatters
-// each fine row of A through P into a dense accumulator, and compacts the
-// touched columns into the same split diag + off-diagonal CSR layout the
-// fine operator uses, so the coarse SpMV reuses spmvStriped unchanged.
 // composeTransfers returns the product transfer a then b: fine rows of a
 // mapped through b's coarsening, so two geometric coarsenings collapse into
 // a single level. The hierarchy uses it to fuse the vertical aggregation
@@ -431,85 +426,114 @@ func (t *transferOp) buildTranspose() {
 // laterally-smooth error, which survives a 2x lateral coarsening).
 func composeTransfers(a, b *transferOp) *transferOp {
 	t := &transferOp{nFine: a.nFine, nCoarse: b.nCoarse}
-	t.rowPtr = make([]int32, t.nFine+1)
-	mark := make([]int32, b.nCoarse)
-	for i := range mark {
-		mark[i] = -1
-	}
-	acc := make([]float64, b.nCoarse)
-	touched := make([]int32, 0, 16)
-	for i := 0; i < t.nFine; i++ {
-		touched = touched[:0]
-		for e := a.rowPtr[i]; e < a.rowPtr[i+1]; e++ {
-			k, wa := a.colIdx[e], a.w[e]
-			for f := b.rowPtr[k]; f < b.rowPtr[k+1]; f++ {
-				j := b.colIdx[f]
-				if mark[j] != int32(i) {
-					mark[j] = int32(i)
-					acc[j] = 0
-					touched = append(touched, j)
-				}
-				acc[j] += wa * b.w[f]
-			}
-		}
-		sort.Slice(touched, func(p, q int) bool { return touched[p] < touched[q] })
-		for _, j := range touched {
-			t.colIdx = append(t.colIdx, j)
-			t.w = append(t.w, acc[j])
-		}
-		t.rowPtr[i+1] = int32(len(t.colIdx))
-	}
+	t.rowPtr, t.colIdx, t.w = sparseProduct(a.nFine, b.nCoarse,
+		a.rowPtr, a.colIdx, a.w, nil, b.rowPtr, b.colIdx, b.w, true)
 	t.buildTranspose()
 	return t
 }
 
+// sparseProduct returns the CSR product C = L·R of two row-major sparse
+// operands, Gustavson style. Row r of L is (lPtr, lIdx, lVal) plus, when
+// lDiag is non-nil, a leading diagonal entry (r, lDiag[r]) — the split
+// diag + off-diagonal layout of the thermal operators. A symbolic pass
+// counts every output row exactly, so the arrays are allocated once at
+// their final size; the numeric pass then accumulates each row into a
+// dense scratch and writes it out in first-touch column order, sorted
+// ascending when sorted is set.
+func sparseProduct(nRows, nCols int, lPtr, lIdx []int32, lVal, lDiag []float64,
+	rPtr, rIdx []int32, rVal []float64, sorted bool) ([]int32, []int32, []float64) {
+	mark := make([]int32, nCols)
+	for i := range mark {
+		mark[i] = -1
+	}
+	ptr := make([]int32, nRows+1)
+	// count marks the columns of R's row k new to output row r.
+	count := func(r, k int32) (n int32) {
+		for e := rPtr[k]; e < rPtr[k+1]; e++ {
+			if c := rIdx[e]; mark[c] != r {
+				mark[c] = r
+				n++
+			}
+		}
+		return n
+	}
+	for r := int32(0); r < int32(nRows); r++ {
+		n := int32(0)
+		if lDiag != nil {
+			n += count(r, r)
+		}
+		for q := lPtr[r]; q < lPtr[r+1]; q++ {
+			n += count(r, lIdx[q])
+		}
+		ptr[r+1] = ptr[r] + n
+	}
+	idx := make([]int32, ptr[nRows])
+	val := make([]float64, ptr[nRows])
+	acc := make([]float64, nCols)
+	for i := range mark {
+		mark[i] = -1
+	}
+	for r := int32(0); r < int32(nRows); r++ {
+		pos := ptr[r]
+		add := func(k int32, s float64) {
+			for e := rPtr[k]; e < rPtr[k+1]; e++ {
+				c := rIdx[e]
+				if mark[c] != r {
+					mark[c] = r
+					acc[c] = 0
+					idx[pos] = c
+					pos++
+				}
+				acc[c] += s * rVal[e]
+			}
+		}
+		if lDiag != nil {
+			add(r, lDiag[r])
+		}
+		for q := lPtr[r]; q < lPtr[r+1]; q++ {
+			add(lIdx[q], lVal[q])
+		}
+		row := idx[ptr[r]:ptr[r+1]]
+		if sorted {
+			slices.Sort(row)
+		}
+		for e, c := range row {
+			val[int(ptr[r])+e] = acc[c]
+		}
+	}
+	return ptr, idx, val
+}
+
+// galerkinCoarse assembles Ac = P'·(A·P) in two sparse products: A·P is
+// formed once per fine row, then each coarse row gathers the A·P rows of
+// the fine rows restricting into it (the transpose of P). The result is
+// compacted into the same split diag + off-diagonal CSR layout the fine
+// operator uses, so the coarse SpMV reuses spmvStriped unchanged.
 func galerkinCoarse(fDiag []float64, fMat *csrMatrix, t *transferOp) ([]float64, *csrMatrix) {
+	apPtr, apIdx, apVal := sparseProduct(t.nFine, t.nCoarse,
+		fMat.rowPtr, fMat.colIdx, fMat.vals, fDiag, t.rowPtr, t.colIdx, t.w, false)
 	nc := t.nCoarse
+	rowPtr, colIdx, vals := sparseProduct(nc, nc,
+		t.tPtr, t.tIdx, t.tW, nil, apPtr, apIdx, apVal, true)
+	// Split the diagonal out in place; rows only shrink, so the compacted
+	// write position never overtakes the read position.
 	cDiag := make([]float64, nc)
-	rowPtr := make([]int32, nc+1)
-	var colIdx []int32
-	var vals []float64
-	acc := make([]float64, nc)
-	touched := make([]bool, nc)
-	cols := make([]int32, 0, 64)
-
-	scatter := func(k int32, scale float64) {
-		end := t.rowPtr[k+1]
-		for e := t.rowPtr[k]; e < end; e++ {
-			lc := t.colIdx[e]
-			if !touched[lc] {
-				touched[lc] = true
-				cols = append(cols, lc)
-			}
-			acc[lc] += scale * t.w[e]
-		}
-	}
-
+	out := int32(0)
 	for jc := 0; jc < nc; jc++ {
-		cols = cols[:0]
-		for q := t.tPtr[jc]; q < t.tPtr[jc+1]; q++ {
-			i := t.tIdx[q]
-			wi := t.tW[q]
-			scatter(i, wi*fDiag[i])
-			end := fMat.rowPtr[i+1]
-			for idx := fMat.rowPtr[i]; idx < end; idx++ {
-				scatter(fMat.colIdx[idx], wi*fMat.vals[idx])
+		start, end := rowPtr[jc], rowPtr[jc+1]
+		rowPtr[jc] = out
+		for e := start; e < end; e++ {
+			if int(colIdx[e]) == jc {
+				cDiag[jc] = vals[e]
+				continue
 			}
+			colIdx[out] = colIdx[e]
+			vals[out] = vals[e]
+			out++
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-		for _, lc := range cols {
-			if int(lc) == jc {
-				cDiag[jc] = acc[lc]
-			} else {
-				colIdx = append(colIdx, lc)
-				vals = append(vals, acc[lc])
-			}
-			acc[lc] = 0
-			touched[lc] = false
-		}
-		rowPtr[jc+1] = int32(len(colIdx))
 	}
-	return cDiag, &csrMatrix{n: nc, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+	rowPtr[nc] = out
+	return cDiag, &csrMatrix{n: nc, rowPtr: rowPtr, colIdx: colIdx[:out], vals: vals[:out]}
 }
 
 // symmetrizeCSR averages every (i,j)/(j,i) pair in place. The Galerkin
@@ -689,10 +713,20 @@ func newLineSmoother(nLayer, nc int, diag []float64, mat *csrMatrix) *lineSmooth
 		}
 	}
 	// Re-key the package rows of the split matrices into the z-major
-	// sweep streams.
+	// sweep streams, each sized exactly from the split.
 	ls.lbzPtr = make([]int32, ls.nPkg+1)
 	ls.ubzPtr = make([]int32, ls.nPkg+1)
 	ls.uezPtr = make([]int32, ls.nPkg+1)
+	nUe := 0
+	for _, j := range ls.ub.colIdx[:ls.ub.rowPtr[ls.nPkg]] {
+		if int(j) >= ls.nPkg {
+			nUe++
+		}
+	}
+	nLb, nUb := int(ls.lb.rowPtr[ls.nPkg]), int(ls.ub.rowPtr[ls.nPkg])-nUe
+	ls.lbzIdx, ls.lbzVal = make([]int32, 0, nLb), make([]float64, 0, nLb)
+	ls.ubzIdx, ls.ubzVal = make([]int32, 0, nUb), make([]float64, 0, nUb)
+	ls.uezIdx, ls.uezVal = make([]int32, 0, nUe), make([]float64, 0, nUe)
 	for c := 0; c < nc; c++ {
 		for l := 0; l < nLayer; l++ {
 			i := l*nc + c
@@ -756,31 +790,49 @@ func (ls *lineSmoother) unpackZ(dst, src []float64) {
 func (ls *lineSmoother) splitBlocks(mat *csrMatrix) (lb, ub *csrMatrix) {
 	n := mat.n
 	nc, nPkg := ls.nc, ls.nPkg
-	lb = &csrMatrix{n: n, rowPtr: make([]int32, n+1)}
-	ub = &csrMatrix{n: n, rowPtr: make([]int32, n+1)}
+	// side reports where entry (i, j) goes: -1 lower, +1 upper, 0 neither.
+	side := func(i, j int) int {
+		switch {
+		case i < nPkg && j < nPkg:
+			switch {
+			case j%nc < i%nc:
+				return -1
+			case j%nc > i%nc:
+				return 1
+			}
+			return 0 // in-column vertical link
+		case j < i:
+			return -1
+		}
+		return 1
+	}
+	nLower, nUpper := 0, 0
+	for i := 0; i < n; i++ {
+		for idx := mat.rowPtr[i]; idx < mat.rowPtr[i+1]; idx++ {
+			switch side(i, int(mat.colIdx[idx])) {
+			case -1:
+				nLower++
+			case 1:
+				nUpper++
+			}
+		}
+	}
+	lb = &csrMatrix{n: n, rowPtr: make([]int32, n+1),
+		colIdx: make([]int32, 0, nLower), vals: make([]float64, 0, nLower)}
+	ub = &csrMatrix{n: n, rowPtr: make([]int32, n+1),
+		colIdx: make([]int32, 0, nUpper), vals: make([]float64, 0, nUpper)}
 	for i := 0; i < n; i++ {
 		end := mat.rowPtr[i+1]
 		for idx := mat.rowPtr[i]; idx < end; idx++ {
-			j := int(mat.colIdx[idx])
-			v := mat.vals[idx]
-			var side *csrMatrix
-			switch {
-			case i < nPkg && j < nPkg:
-				switch {
-				case j%nc < i%nc:
-					side = lb
-				case j%nc > i%nc:
-					side = ub
-				default:
-					continue // in-column vertical link
-				}
-			case j < i:
-				side = lb
-			default:
-				side = ub
+			j := mat.colIdx[idx]
+			switch side(i, int(j)) {
+			case -1:
+				lb.colIdx = append(lb.colIdx, j)
+				lb.vals = append(lb.vals, mat.vals[idx])
+			case 1:
+				ub.colIdx = append(ub.colIdx, j)
+				ub.vals = append(ub.vals, mat.vals[idx])
 			}
-			side.colIdx = append(side.colIdx, int32(j))
-			side.vals = append(side.vals, v)
 		}
 		lb.rowPtr[i+1] = int32(len(lb.colIdx))
 		ub.rowPtr[i+1] = int32(len(ub.colIdx))

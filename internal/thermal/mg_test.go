@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -147,6 +148,29 @@ func TestMGIterationBudget64(t *testing.T) {
 		t.Errorf("cold 64x64 mg solve took %d CG iterations, budget is %d", res.Iterations, budget)
 	}
 	t.Logf("cold 64x64 mg solve: %d iterations, residual %.3g", res.Iterations, res.Residual)
+}
+
+// TestNewModelAllocBudget64 is the allocation gate ci.sh runs next to the
+// warm-solve budget: a cold 64x64 multigrid model build sizes every CSR,
+// transfer and Galerkin buffer up front (symbolic passes, exact bounds) and
+// factors no unused IC(0), so it makes a few hundred allocations. Per-row
+// sorting closures or append-grown product buffers put it back in the tens
+// of thousands.
+func TestNewModelAllocBudget64(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; budget holds only uninstrumented")
+	}
+	m, _ := mgModel(t, 64, 1)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := NewModel(m.Stack(), m.Config()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 400
+	if allocs > budget {
+		t.Fatalf("64x64 mg NewModel made %.0f allocations, budget is %d", allocs, budget)
+	}
+	t.Logf("64x64 mg NewModel: %.0f allocations", allocs)
 }
 
 // TestMGTransferRowSums checks prolongation reproduces constants (every
@@ -367,4 +391,109 @@ func BenchmarkSolveWarmNeighborMG(b *testing.B) {
 		res.Recycle()
 	}
 	b.ReportMetric(float64(iters), "cg-iters/op")
+}
+
+// BenchmarkNewModelGrid64MG times a cold production-grid model build with
+// the multigrid hierarchy: CSR assembly, the line smoother, the transfers
+// and the Galerkin coarse operators.
+func BenchmarkNewModelGrid64MG(b *testing.B) {
+	m, _ := mgModel(b, 64, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewModel(m.Stack(), m.Config()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// galerkinRowScatter is the original coarse-operator assembly, kept as the
+// reference for galerkinCoarse: for each coarse row jc it walks the fine
+// rows restricting into jc and re-scatters each one's row of A through P,
+// so a fine row of A·P is rebuilt once per coarse row it restricts into.
+func galerkinRowScatter(fDiag []float64, fMat *csrMatrix, t *transferOp) ([]float64, *csrMatrix) {
+	nc := t.nCoarse
+	cDiag := make([]float64, nc)
+	rowPtr := make([]int32, nc+1)
+	var colIdx []int32
+	var vals []float64
+	acc := make([]float64, nc)
+	touched := make([]bool, nc)
+	cols := make([]int32, 0, 64)
+
+	scatter := func(k int32, scale float64) {
+		end := t.rowPtr[k+1]
+		for e := t.rowPtr[k]; e < end; e++ {
+			lc := t.colIdx[e]
+			if !touched[lc] {
+				touched[lc] = true
+				cols = append(cols, lc)
+			}
+			acc[lc] += scale * t.w[e]
+		}
+	}
+
+	for jc := 0; jc < nc; jc++ {
+		cols = cols[:0]
+		for q := t.tPtr[jc]; q < t.tPtr[jc+1]; q++ {
+			i := t.tIdx[q]
+			wi := t.tW[q]
+			scatter(i, wi*fDiag[i])
+			end := fMat.rowPtr[i+1]
+			for idx := fMat.rowPtr[i]; idx < end; idx++ {
+				scatter(fMat.colIdx[idx], wi*fMat.vals[idx])
+			}
+		}
+		slices.Sort(cols)
+		for _, lc := range cols {
+			if int(lc) == jc {
+				cDiag[jc] = acc[lc]
+			} else {
+				colIdx = append(colIdx, lc)
+				vals = append(vals, acc[lc])
+			}
+			acc[lc] = 0
+			touched[lc] = false
+		}
+		rowPtr[jc+1] = int32(len(colIdx))
+	}
+	return cDiag, &csrMatrix{n: nc, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// TestGalerkinMatchesRowScatter checks the one-pass P'·(A·P) product
+// against the row-scatter reference on every level of the 16-chiplet
+// 64x64 production hierarchy, before truncation: the sparsity patterns
+// must be identical and the entries may differ only by floating-point
+// reassociation.
+func TestGalerkinMatchesRowScatter(t *testing.T) {
+	m, _ := mgModel(t, 64, 1)
+	if m.mg == nil {
+		t.Fatal("multigrid not built")
+	}
+	const relTol = 1e-12
+	for k, lv := range m.mg.levels {
+		wantDiag, want := galerkinRowScatter(lv.diag, lv.mat, lv.down)
+		gotDiag, got := galerkinCoarse(lv.diag, lv.mat, lv.down)
+		if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colIdx, want.colIdx) {
+			t.Fatalf("level %d: sparsity pattern differs from the row-scatter reference", k)
+		}
+		worst := 0.0
+		check := func(what string, i int, g, w float64) {
+			d := math.Abs(g - w)
+			if s := math.Abs(w); s > 0 {
+				d /= s
+			}
+			worst = math.Max(worst, d)
+			if d > relTol {
+				t.Fatalf("level %d: %s %d = %v, reference %v (rel %.3g)", k, what, i, g, w, d)
+			}
+		}
+		for i := range wantDiag {
+			check("diag", i, gotDiag[i], wantDiag[i])
+		}
+		for e := range want.vals {
+			check("entry", e, got.vals[e], want.vals[e])
+		}
+		t.Logf("level %d: n=%d nnz=%d worst rel diff %.3g", k, want.n, len(want.vals), worst)
+	}
 }

@@ -143,11 +143,11 @@ type Model struct {
 
 	sinkBase int // node index of the first sink node
 
-	// precond is the IC(0) factorization, always built: it is the default
-	// preconditioner, the fallback when the multigrid coarsener declines a
-	// geometry, and what the transient solver derives its shifted variant
-	// from. mg is non-nil only when cfg.Preconditioner selected multigrid
-	// and the hierarchy was buildable; runPCG prefers it.
+	// Exactly one preconditioner is built. mg is non-nil when
+	// cfg.Preconditioner selected multigrid and the hierarchy was
+	// buildable; otherwise precond holds the IC(0) factorization (the
+	// default, and the fallback when the coarsener declines a geometry).
+	// The transient solver factors its own shifted IC(0) either way.
 	precond     *icPreconditioner
 	mg          *mgPreconditioner
 	precondName string
@@ -197,26 +197,33 @@ func NewModel(stack floorplan.Stack, cfg Config) (*Model, error) {
 	m.sinkBase = (m.nLayer + 1) * m.nCells
 	m.diag = make([]float64, m.nNodes)
 	m.convG = make([]float64, m.nCells)
+	// Every sheet's lateral links, the package's vertical links and the
+	// two nesting layers (package→spreader, spreader→sink): an upper
+	// bound, since addLink skips degenerate conductances.
+	nx, ny := cfg.Nx, cfg.Ny
+	m.links = make([]link, 0, (m.nLayer+2)*(2*m.nCells-nx-ny)+(m.nLayer+1)*m.nCells)
 	m.assemble()
 	m.finalize()
 	return m, nil
 }
 
 // finalize converts the assembled edge list into the solver's CSR layout,
-// derives the preconditioner from the same (already column-sorted)
+// derives the preconditioner in use from the same (already column-sorted)
 // structure, and drops the edge list — after this point every matvec is a
-// gather-only row sweep over the CSR arrays.
+// gather-only row sweep over the CSR arrays. IC(0) is factored only when
+// multigrid was not requested or could not be built.
 func (m *Model) finalize() {
 	m.csr = newCSR(m.nNodes, m.links)
-	m.precond = newICFromCSR(m.nNodes, m.diag, m.csr)
-	m.precondName = PrecondIC0
+	m.links = nil
 	if m.cfg.Preconditioner == PrecondMG {
 		if mg := newMultigrid(m.nLayer+2, m.cfg.Nx, m.cfg.Ny, m.diag, m.csr); mg != nil {
 			m.mg = mg
 			m.precondName = PrecondMG
+			return
 		}
 	}
-	m.links = nil
+	m.precond = newICFromCSR(m.nNodes, m.diag, m.csr)
+	m.precondName = PrecondIC0
 }
 
 // PreconditionerName reports the preconditioner the model's solves use:

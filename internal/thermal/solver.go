@@ -73,13 +73,17 @@ func (r *Result) AvgOverRect(rc geom.Rect) float64 {
 	return r.overRect(rc, false)
 }
 
+// overRect scans only the index window that can hold member cells
+// (geom.Grid.CenterWindow); membership and row-major summation order are
+// those of a full-grid scan, so the result is bit-identical to one.
 func (r *Result) overRect(rc geom.Rect, max bool) float64 {
 	g := r.model.grid
 	chip := r.ChipT()
 	best := math.Inf(-1)
 	sum, n := 0.0, 0
-	for iy := 0; iy < g.Ny; iy++ {
-		for ix := 0; ix < g.Nx; ix++ {
+	ix0, ix1, iy0, iy1 := g.CenterWindow(rc)
+	for iy := iy0; iy < iy1; iy++ {
+		for ix := ix0; ix < ix1; ix++ {
 			cx, cy := g.CellRect(ix, iy).Center()
 			if !rc.ContainsPoint(cx, cy) {
 				continue
@@ -338,9 +342,11 @@ func (m *Model) addBoundaryRHS(rhs []float64) {
 // On error the solution buffer goes back to the pool.
 func (m *Model) runPCG(ctx context.Context, ws *workspace, x []float64, warm bool) (*Result, error) {
 	ctx, sp := obs.Start(ctx, "thermal.cg")
-	var pre cgPre = m.precond
+	var pre cgPre
 	if m.mg != nil {
 		pre = m.mg
+	} else {
+		pre = m.precond
 	}
 	sys := cgSystem{
 		diag: m.diag, mat: m.csr, pre: pre,

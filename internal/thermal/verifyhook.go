@@ -18,8 +18,10 @@ package thermal
 // factor s_ij < 1 (the factor is derived from the unordered pair, not the
 // entry), so A' = A_consistent + D where A_consistent is the valid
 // conductance matrix assembled from the scaled links and D is the
-// non-negative diagonal left behind by the stale row sums. The stale IC(0)
-// preconditioner remains a valid SPD preconditioner, so CG still converges.
+// non-negative diagonal left behind by the stale row sums. The model's
+// preconditioner (IC(0) or the multigrid V-cycle, whichever finalize
+// built) still describes the unperturbed matrix, but it remains a valid
+// SPD preconditioner, so CG still converges.
 //
 // Test-only: callers must perturb before any solve runs and must not share
 // the model. Production code never calls this.

@@ -27,7 +27,9 @@
 # engine, under -race), the cost Monte Carlo determinism gate (same seed →
 # bit-identical yield quantiles at any worker count, under -race), the
 # warm-solve allocation budget (zero large
-# allocations per steady-state solve), and the multigrid CG-iteration gate
+# allocations per steady-state solve), the model-build allocation budget
+# (a cold 64x64 multigrid NewModel stays at a few hundred allocations),
+# and the multigrid CG-iteration gate
 # (the 64x64 production solve must stay within its committed iteration
 # budget — the machine-independent form of the cold-solve speedup claim).
 #
@@ -192,6 +194,13 @@ echo "==> thermal warm-solve allocation budget"
 # Steady-state serving must not allocate vectors: a warm SolveWarm is
 # bounded at a few objects per op (Result header + pool boxing).
 go test -count 1 -run 'TestSolveWarmSteadyStateAllocBudget' ./internal/thermal
+
+echo "==> thermal model-build allocation budget"
+# A cold 64x64 multigrid NewModel sizes its CSR, transfer and Galerkin
+# buffers up front and builds only the preconditioner in use: a few hundred
+# allocations, where per-row sort closures and append-grown products made
+# tens of thousands.
+go test -count 1 -run 'TestNewModelAllocBudget64' ./internal/thermal
 
 echo "==> multigrid CG-iteration gate"
 # The machine-independent half of the cold-solve speedup claim: the
